@@ -2,9 +2,7 @@
 //! wall Theorems 3.1/3.2 predict.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kanon_core::exact::{
-    branch_and_bound, pattern_bb, subset_dp, BranchBoundConfig, PatternConfig, SubsetDpConfig,
-};
+use kanon_core::exact::{branch_and_bound, subset_dp, BranchBoundConfig, SubsetDpConfig};
 use kanon_workloads::{clustered, uniform, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,32 +47,5 @@ fn bench_branch_and_bound(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pattern_bb(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exact/pattern_bb_k3");
-    group.sample_size(10);
-    for m in [4usize, 6, 8] {
-        let mut rng = StdRng::seed_from_u64(23 + m as u64);
-        let inst = clustered(
-            &mut rng,
-            &ClusteredParams {
-                n_clusters: 5,
-                cluster_size: 3,
-                m,
-                scatter: 1,
-                values_per_cluster: 3,
-            },
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(m), &inst.dataset, |b, ds| {
-            b.iter(|| pattern_bb(ds, 3, &PatternConfig::default()).unwrap().cost);
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_subset_dp,
-    bench_branch_and_bound,
-    bench_pattern_bb
-);
+criterion_group!(benches, bench_subset_dp, bench_branch_and_bound);
 criterion_main!(benches);

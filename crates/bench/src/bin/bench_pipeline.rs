@@ -13,6 +13,8 @@
 //! apply time against the from-scratch init. The store's dirty-bucket
 //! re-solving should make the append an order of magnitude cheaper;
 //! `--delta-max-ratio` turns that into a hard gate (nonzero exit) for CI.
+//! `--delta-rows 0` skips the phase and its gate; the JSON then records
+//! `"delta": {"skipped": true}`.
 //!
 //! `--threads 1,2,4,8` adds a worker-count sweep at the default shard
 //! size. The sweep is also a correctness gate: the pipeline promises the
@@ -95,7 +97,7 @@ fn main() {
                 delta_rows = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--delta-rows needs a positive integer"),
+                        .expect("--delta-rows needs a non-negative integer"),
                 );
             }
             "--delta-max-ratio" => {
@@ -227,7 +229,7 @@ fn main() {
     // Delta phase: from-scratch init vs a 1% append on a durable store.
     // ------------------------------------------------------------------
     let delta_k = 3usize;
-    let delta = {
+    let delta = (delta_rows > 0).then(|| {
         let params = ZipfParams {
             n: delta_rows,
             m: 8,
@@ -297,7 +299,10 @@ fn main() {
             eprintln!("  delta gate: ratio {ratio:.3} <= {max:.3}, ok");
         }
         (init_ms, apply_ms, ratio, report)
-    };
+    });
+    if delta.is_none() {
+        eprintln!("delta: skipped (--delta-rows 0)");
+    }
 
     // Hand-rolled JSON: the workspace deliberately vendors no serde.
     let mut json = String::new();
@@ -343,13 +348,15 @@ fn main() {
         }
         json.push_str("  ],\n");
     }
-    let (init_ms, apply_ms, ratio, report) = &delta;
-    json.push_str(&format!(
-        "  \"delta\": {{\"rows\": {delta_rows}, \"append_rows\": {}, \"k\": {delta_k}, \
-         \"init_ms\": {init_ms:.1}, \"apply_ms\": {apply_ms:.1}, \"ratio\": {ratio:.4}, \
-         \"resolved_rows\": {}, \"resolved_units\": {}, \"total_cost\": {}}}\n",
-        report.inserted, report.resolved_rows, report.resolved_units, report.total_cost,
-    ));
+    match &delta {
+        Some((init_ms, apply_ms, ratio, report)) => json.push_str(&format!(
+            "  \"delta\": {{\"rows\": {delta_rows}, \"append_rows\": {}, \"k\": {delta_k}, \
+             \"init_ms\": {init_ms:.1}, \"apply_ms\": {apply_ms:.1}, \"ratio\": {ratio:.4}, \
+             \"resolved_rows\": {}, \"resolved_units\": {}, \"total_cost\": {}}}\n",
+            report.inserted, report.resolved_rows, report.resolved_units, report.total_cost,
+        )),
+        None => json.push_str("  \"delta\": {\"skipped\": true}\n"),
+    }
     json.push_str("}\n");
 
     std::fs::write(&out, &json).expect("write benchmark JSON");

@@ -62,7 +62,7 @@ pub enum Command {
         buckets: Option<usize>,
         /// Worker threads (`None` = auto).
         workers: Option<usize>,
-        /// Work-stealing sub-unit row threshold (`None` = whole shards).
+        /// Sub-unit row threshold for splitting large shards (`None` = whole shards).
         split_unit: Option<usize>,
         /// Quasi-identifier column names. `None` selects the schema-driven
         /// auto path: infer the schema, rank a quasi-identifier, and try
@@ -320,7 +320,7 @@ COMMANDS:
                 Worker count precedence: --workers, then the
                 RAYON_NUM_THREADS environment variable, then all available
                 CPU cores. --split-unit N cuts shards larger than N rows
-                into independently stolen sub-units (N >= 2k-1; same
+                into sub-units solved independently (N >= 2k-1; same
                 output at every worker count, at a possible cost penalty
                 versus solving each shard whole).
                 Without --quasi the run takes the schema-driven auto path:

@@ -6,7 +6,7 @@
 //! (experiments E1/E2), and as the decision oracle inside the hardness
 //! reduction verifiers (experiments E5/E6).
 //!
-//! Four engines with different sweet spots:
+//! Three engines with different sweet spots:
 //!
 //! * [`fpt`] — fixed-parameter search over *distinct row patterns* with
 //!   multiplicities; exact for any `n` when the table carries few distinct
@@ -18,9 +18,6 @@
 //!   (per-row k-NN distance and open-block deficits); handles larger
 //!   clustered instances and can run anytime (returns the best found with a
 //!   proof flag).
-//! * [`pattern_bb`] — searches over per-row suppression *patterns* instead
-//!   of partitions, exploiting repeated rows; strongest when the alphabet
-//!   and arity are small (the regime of Sweeney's exact algorithm \[8\]).
 //!
 //! All engines agree on every instance (cross-checked by tests), and all
 //! exploit the §4.1 observation that optimal solutions may be assumed to
@@ -28,14 +25,12 @@
 
 mod branch_and_bound;
 mod fpt;
-mod pattern_bb;
 mod subset_dp;
 
 pub use branch_and_bound::{
     branch_and_bound, try_branch_and_bound_governed, BranchBoundConfig, BranchBoundResult,
 };
 pub use fpt::{fpt, try_fpt_governed, FptConfig};
-pub use pattern_bb::{pattern_bb, try_pattern_bb_governed, PatternConfig};
 pub use subset_dp::{
     min_diameter_sum, subset_dp, try_min_diameter_sum_governed, try_subset_dp_governed,
     SubsetDpConfig,

@@ -80,15 +80,15 @@ pub struct PipelineConfig {
     /// [`kanon_core::distcache::resolve_threads`] (the `RAYON_NUM_THREADS`
     /// environment variable, then available parallelism).
     pub workers: Option<usize>,
-    /// Sub-unit split threshold for the work-stealing pool: shards larger
-    /// than `max(split_unit, 2k−1)` rows are cut into near-equal
-    /// consecutive sub-units no larger than that target (and never smaller
-    /// than `2k−1` rows) that workers solve — and steal — independently, so
-    /// one oversized shard cannot idle the rest of the pool. The split is a
-    /// pure function of the plan (never of worker count or timing), so any
-    /// worker count produces the same table. `None` (the default) disables
-    /// splitting: each shard is one unit and output is identical to earlier
-    /// releases. Must be at least `2k − 1` when set.
+    /// Sub-unit split threshold: shards larger than `max(split_unit, 2k−1)`
+    /// rows are cut into near-equal consecutive sub-units no larger than
+    /// that target (and never smaller than `k` rows) that workers claim
+    /// and solve independently, so one oversized shard cannot idle the
+    /// other workers. The split is a pure function of the plan (never of
+    /// worker count or timing), so any worker count produces the same
+    /// table. `None` (the default) disables splitting: each shard is one
+    /// unit and output is identical to earlier releases. Must be at least
+    /// `2k − 1` when set.
     pub split_unit: Option<usize>,
     /// The global budget divided among shards (deadline proportional to
     /// rows, memory cap split evenly across workers). Unlimited by default.

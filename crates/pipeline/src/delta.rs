@@ -67,7 +67,7 @@ use crate::error::{Error, Result};
 use crate::ingest::ingest_csv;
 use crate::json::JsonObject;
 use crate::release::write_release;
-use crate::shard::{fnv1a_row, residue_chunk_target};
+use crate::shard::{fnv1a_row, near_equal_ranges, residue_chunk_target, residue_fold_index};
 
 /// Snapshot format version; bumped on any payload layout change.
 const SNAPSHOT_VERSION: u32 = 1;
@@ -349,13 +349,6 @@ pub struct DeltaStore {
 fn bucket_of(codes: &[u32], quasi_cols: &[usize], n_buckets: usize) -> usize {
     let qi: Vec<u32> = quasi_cols.iter().map(|&j| codes[j]).collect();
     (fnv1a_row(&qi) % n_buckets as u64) as usize
-}
-
-fn near_equal_lens(len: usize, target: usize) -> Vec<usize> {
-    let q = len.div_ceil(target).max(1);
-    let base = len / q;
-    let extra = len % q;
-    (0..q).map(|i| base + usize::from(i < extra)).collect()
 }
 
 fn snapshot_path(dir: &Path) -> PathBuf {
@@ -877,7 +870,9 @@ impl DeltaStore {
                 continue;
             }
             let rows: Vec<u64> = ids.iter().copied().collect();
-            let chunk_lens = near_equal_lens(rows.len(), target);
+            let chunk_lens = near_equal_ranges(rows.len(), target)
+                .map(|r| r.len())
+                .collect();
             units.push(Unit {
                 key: b as u32,
                 rows,
@@ -897,19 +892,14 @@ impl DeltaStore {
             return units;
         }
         // Sub-k residue: fold into the globally smallest chunk, lowest
-        // global index on ties — byte-for-byte the `plan_shards` rule.
-        let mut best: Option<(usize, usize, usize, usize)> = None; // (len, global, unit, chunk)
-        let mut global = 0usize;
-        for (u, unit) in units.iter().enumerate() {
-            for (c, &len) in unit.chunk_lens.iter().enumerate() {
-                let cand = (len, global + c, u, c);
-                if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best = Some(cand);
-                }
-            }
-            global += unit.chunk_lens.len();
+        // global index on ties — the `plan_shards` rule.
+        let mut c = residue_fold_index(units.iter().flat_map(|u| u.chunk_lens.iter().copied()))
+            .expect("units is non-empty");
+        let mut u = 0;
+        while c >= units[u].chunk_lens.len() {
+            c -= units[u].chunk_lens.len();
+            u += 1;
         }
-        let (_, _, u, c) = best.expect("units is non-empty");
         let unit = &mut units[u];
         let at: usize = unit.chunk_lens[..=c].iter().sum();
         unit.rows.splice(at..at, residue.iter().copied());

@@ -1,24 +1,17 @@
 //! The pipeline engine: solve every shard under a budget slice, then merge.
 //!
-//! ## Work-stealing pool
+//! ## Dispatch
 //!
-//! Shards are solved by a pool of `std::thread` workers around a shared
-//! injector (a deque of shard ids) and one deque of unit tasks per worker.
-//! A worker pops work from the front of its own deque; when that runs dry
-//! it pulls the next shard id from the injector and expands it into unit
-//! tasks on its own deque, and when the injector is empty too it steals a
-//! unit from the *back* of a sibling's deque — the classic Chase-Lev
-//! discipline (owner LIFO-ish front, thieves FIFO back), here with plain
-//! mutex-guarded deques since contention is one lock per solved unit, not
-//! per distance probe.
-//!
-//! Units are whole shards by default. With [`PipelineConfig::split_unit`]
-//! set, shards larger than the threshold are cut into near-equal
-//! consecutive sub-units that solve (and steal) independently, so one
-//! oversized shard cannot serialize the tail of a run. The split is a pure
-//! function of the plan — never of worker count or timing — and both the
-//! sequential and parallel paths apply it identically, so the output table
-//! is invariant across worker counts.
+//! Every shard's rows are cut into units before any solve starts: whole
+//! shards by default, or, with [`PipelineConfig::split_unit`] set,
+//! near-equal consecutive sub-units so one oversized shard cannot
+//! serialize the tail of a run. The flat unit list is sorted largest
+//! first (stable on shard and unit index), and `workers` scoped threads
+//! claim units from it through one atomic cursor. Units never spawn work,
+//! so a shared cursor is all the scheduling there is; one worker is the
+//! same loop on one thread. The split is a pure function of the plan, and
+//! results are reassembled per shard on the calling thread, so the output
+//! table is invariant across worker counts.
 //!
 //! Workers materialize each unit's sub-table into a worker-local flat
 //! buffer that is recycled from unit to unit
@@ -28,16 +21,13 @@
 //!
 //! ## Budget slicing
 //!
-//! Each shard receives a [`Budget::child_with_memory`] slice, computed in
-//! shard-id order *before* the pool starts (so scheduling cannot influence
-//! any shard's allowance): its deadline share is `remaining × shard_rows ×
-//! workers / unsliced_rows` (proportional to its size, scaled up because
-//! `workers` shards run concurrently, capped at the parent's remaining
-//! time), and its memory cap is `global_cap / workers` so the pool's
-//! aggregate planned allocations respect the global cap. Sub-units of one
-//! shard share that shard's slice (budget clones share the deadline
-//! window, the memory counter, and the cancellation flag). The residue
-//! group is solved last, alone, with everything that remains.
+//! Each unit receives a [`Budget::child_with_memory`] slice cut when it is
+//! claimed: its deadline share is `remaining × unit_rows × workers /
+//! unclaimed_rows` (proportional to its size, scaled up because `workers`
+//! units run concurrently, capped at the parent's remaining time), and its
+//! memory cap is `global_cap / workers` so concurrent units' planned
+//! allocations respect the global cap. The residue group is solved last,
+//! alone, with everything that remains.
 //!
 //! ## Fallback
 //!
@@ -48,9 +38,9 @@
 //! always finishes, so a pipeline run completes — possibly degraded, never
 //! wedged — whatever the budget.
 
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use kanon_baselines::ladder::{run_ladder, LadderConfig, Rung};
@@ -62,7 +52,7 @@ use kanon_core::{Algorithm, Anonymization, Dataset, Partition, Resource, Value};
 use crate::config::PipelineConfig;
 use crate::error::{Error, Result};
 use crate::report::{PipelineReport, ShardReport, SolvedBy};
-use crate::shard::{chunk_near_equal, full_cover_candidates, plan_shards, residue_chunk_target};
+use crate::shard::{full_cover_candidates, near_equal_ranges, plan_shards, residue_chunk_target};
 
 /// Live progress of a pipeline run, emitted through the callback of
 /// [`run_pipeline_with_progress`] so callers that own long-running jobs
@@ -98,11 +88,6 @@ pub enum Progress {
 pub(crate) struct Solved {
     pub(crate) partition: Partition,
     pub(crate) report: ShardReport,
-}
-
-pub(crate) fn select(ds: &Dataset, rows: &[u32]) -> Dataset {
-    ds.select_rows_into(rows, Vec::new())
-        .expect("shard plan only holds in-range row indices")
 }
 
 /// The first rung worth attempting for a shard of `s` rows: the exhaustive
@@ -193,12 +178,12 @@ pub(crate) fn solve_shard(
     }
 }
 
-/// A dispatch-time budget slice: deadline proportional to the shard's share
-/// of undispatched rows (scaled by the worker count, since `workers` slices
-/// run concurrently), memory capped at `mem_slice`.
+/// A claim-time budget slice: deadline proportional to the unit's share of
+/// unclaimed rows (scaled by the worker count, since `workers` slices run
+/// concurrently), memory capped at `mem_slice`.
 pub(crate) fn slice_budget(
     parent: &Budget,
-    shard_rows: usize,
+    unit_rows: usize,
     rows_left: u64,
     workers: usize,
     mem_slice: Option<u64>,
@@ -206,7 +191,7 @@ pub(crate) fn slice_budget(
     let allowance = parent.remaining().map(|rem| {
         let nanos = rem
             .as_nanos()
-            .saturating_mul(shard_rows as u128)
+            .saturating_mul(unit_rows as u128)
             .saturating_mul(workers as u128)
             / u128::from(rows_left.max(1));
         Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX)).min(rem)
@@ -215,30 +200,13 @@ pub(crate) fn slice_budget(
 }
 
 /// The consecutive sub-unit ranges a shard of `len` rows splits into under
-/// `split_unit`. Mirrors [`chunk_near_equal`]'s arithmetic exactly: with a
-/// target of `max(split, 2k-1)`, an oversized shard becomes
-/// `ceil(len / target)` near-equal consecutive pieces, each at least `k`
-/// rows. `None` (and any shard at or under the target) yields the whole
-/// shard as one unit — the pre-splitting behaviour, byte for byte.
-pub(crate) fn unit_ranges(len: usize, split: Option<usize>, k: usize) -> Vec<(usize, usize)> {
-    let target = match split {
-        Some(s) => s.max(2 * k.max(1) - 1),
-        None => return vec![(0, len)],
-    };
-    if len <= target {
-        return vec![(0, len)];
-    }
-    let q = len.div_ceil(target).max(1);
-    let base = len / q;
-    let extra = len % q; // first `extra` pieces get one more row
-    let mut out = Vec::with_capacity(q);
-    let mut at = 0;
-    for i in 0..q {
-        let size = base + usize::from(i < extra);
-        out.push((at, at + size));
-        at += size;
-    }
-    out
+/// `split_unit`: with a target of `max(split, 2k-1)`, an oversized shard
+/// becomes [`near_equal_ranges`] pieces, each at least `k` rows. `None`
+/// (and any shard at or under the target) yields the whole shard as one
+/// unit.
+fn unit_ranges(len: usize, split: Option<usize>, k: usize) -> impl Iterator<Item = Range<usize>> {
+    let target = split.map_or(usize::MAX, |s| s.max(2 * k.max(1) - 1));
+    near_equal_ranges(len, target)
 }
 
 /// Combines the solved pieces of one logical shard (sub-units in range
@@ -309,15 +277,15 @@ pub(crate) fn solve_residue(
 ) -> Result<Solved> {
     let started = Instant::now();
     let rows: Vec<u32> = (0..sub.n_rows() as u32).collect();
-    let chunks = chunk_near_equal(&rows, target.max(2 * k.max(1) - 1));
+    let chunks: Vec<_> = near_equal_ranges(rows.len(), target.max(2 * k.max(1) - 1)).collect();
     if chunks.len() == 1 {
         return solve_shard(id, sub, k, config, parent.child(None));
     }
     let mut buf: Vec<Value> = Vec::new();
     let mut pieces = Vec::with_capacity(chunks.len());
-    for chunk in &chunks {
+    for chunk in chunks {
         let piece = sub
-            .select_rows_into(chunk, std::mem::take(&mut buf))
+            .select_rows_into(&rows[chunk], std::mem::take(&mut buf))
             .expect("residue chunks index the residue sub-table");
         pieces.push(solve_shard(id, &piece, k, config, parent.child(None))?);
         buf = piece.into_flat_buffer();
@@ -371,73 +339,10 @@ pub(crate) fn finalize_merge(
         .map_err(Error::Core)
 }
 
-/// One stealable unit of work: a consecutive range of one shard's rows.
-#[derive(Clone, Copy)]
+/// One unit of work: a consecutive range of one shard's rows.
 struct Unit {
     shard: usize,
-    unit: usize,
-    lo: usize,
-    hi: usize,
-}
-
-/// Shared state of the work-stealing pool. All precomputed — workers only
-/// ever *remove* work (the injector drains shard ids, deques drain units),
-/// so the unit count is fixed up front and `remaining` is the sole
-/// termination signal.
-struct Pool<'a> {
-    /// Per-shard unit ranges, indexed by shard id.
-    ranges: &'a [Vec<(usize, usize)>],
-    /// Shard ids not yet expanded into unit tasks.
-    injector: Mutex<VecDeque<usize>>,
-    /// One unit deque per worker: the owner pops the front, thieves pop
-    /// the back, so an owner keeps the cache-warm front of its own shard
-    /// while thieves drain the far end.
-    deques: Vec<Mutex<VecDeque<Unit>>>,
-    /// Units not yet finished. Workers exit when this reaches zero.
-    remaining: AtomicUsize,
-    /// Parked workers wait here (with a short timeout) when a scan finds
-    /// no runnable unit but `remaining > 0` — i.e. every outstanding unit
-    /// is either mid-solve or mid-expansion on another worker.
-    idle_gate: Mutex<()>,
-    idle: Condvar,
-}
-
-impl Pool<'_> {
-    /// Finds the next unit for worker `w`: own deque front, then injector
-    /// expansion, then a steal from a sibling's back. `None` means nothing
-    /// is runnable *right now* (work may still appear from an in-flight
-    /// expansion — the caller checks `remaining` before sleeping/exiting).
-    fn find_work(&self, w: usize) -> Option<Unit> {
-        if let Some(u) = self.deques[w].lock().expect("own deque").pop_front() {
-            return Some(u);
-        }
-        let shard = self.injector.lock().expect("injector").pop_front();
-        if let Some(s) = shard {
-            let mut q = self.deques[w].lock().expect("own deque");
-            for (i, &(lo, hi)) in self.ranges[s].iter().enumerate() {
-                q.push_back(Unit {
-                    shard: s,
-                    unit: i,
-                    lo,
-                    hi,
-                });
-            }
-            let first = q.pop_front();
-            drop(q);
-            if self.ranges[s].len() > 1 {
-                // New stealable units appeared; wake anyone parked.
-                self.idle.notify_all();
-            }
-            return first;
-        }
-        for i in 1..self.deques.len() {
-            let v = (w + i) % self.deques.len();
-            if let Some(u) = self.deques[v].lock().expect("sibling deque").pop_back() {
-                return Some(u);
-            }
-        }
-        None
-    }
+    rows: Range<usize>,
 }
 
 /// Runs the sharded pipeline over an already-encoded table: plan shards,
@@ -491,182 +396,100 @@ pub fn run_pipeline_with_progress(
     }
 
     // The unit split is fixed by the plan alone (shard sizes, split_unit,
-    // k) — both execution paths below apply exactly these ranges, which is
-    // what makes the output invariant across worker counts.
-    let ranges: Vec<Vec<(usize, usize)>> = plan
-        .shards
-        .iter()
-        .map(|rows| unit_ranges(rows.len(), config.split_unit, k))
-        .collect();
-    let total_units: usize = ranges.iter().map(Vec::len).sum();
+    // k), which is what makes the output invariant across worker counts.
+    let mut units_per_shard = Vec::with_capacity(plan.shards.len());
+    let mut todo: Vec<Unit> = Vec::new();
+    for (shard, rows) in plan.shards.iter().enumerate() {
+        let before = todo.len();
+        todo.extend(unit_ranges(rows.len(), config.split_unit, k).map(|rows| Unit { shard, rows }));
+        units_per_shard.push(todo.len() - before);
+    }
+    // Largest first, so the longest solves start early; the stable sort
+    // keeps shard order among equal sizes.
+    todo.sort_by_key(|u| std::cmp::Reverse(u.rows.len()));
+    // Rows still unclaimed when unit `i` is claimed: it, every later unit,
+    // and the residue.
+    let mut unclaimed = vec![0u64; todo.len()];
+    let mut acc = plan.residue.len() as u64;
+    for (u, left) in todo.iter().zip(&mut unclaimed).rev() {
+        acc += u.rows.len() as u64;
+        *left = acc;
+    }
 
     let workers = resolve_threads(config.workers)
         .max(1)
-        .min(total_units.max(1));
+        .min(todo.len().max(1));
     let mem_slice = config.budget.memory_limit().map(|m| m / workers as u64);
-    let total_rows: u64 =
-        plan.shards.iter().map(|s| s.len() as u64).sum::<u64>() + plan.residue.len() as u64;
-
+    let cursor = AtomicUsize::new(0);
     let mut solved: Vec<Option<Solved>> = (0..plan.shards.len()).map(|_| None).collect();
+    std::thread::scope(|scope| -> Result<()> {
+        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Solved>)>();
+        for _ in 0..workers {
+            let done_tx = done_tx.clone();
+            let (todo, unclaimed, cursor, plan) = (&todo, &unclaimed, &cursor, &plan);
+            scope.spawn(move || {
+                let mut buf: Vec<Value> = Vec::new();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(u) = todo.get(i) else { break };
+                    let budget = slice_budget(
+                        &config.budget,
+                        u.rows.len(),
+                        unclaimed[i],
+                        workers,
+                        mem_slice,
+                    );
+                    let sub = ds
+                        .select_rows_into(
+                            &plan.shards[u.shard][u.rows.clone()],
+                            std::mem::take(&mut buf),
+                        )
+                        .expect("shard plan only holds in-range row indices");
+                    let out = solve_shard(u.shard, &sub, k, config, budget);
+                    buf = sub.into_flat_buffer();
+                    // A closed channel means the run failed: stop claiming.
+                    if done_tx.send((i, out)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(done_tx);
 
-    if workers <= 1 || total_units <= 1 {
-        let mut rows_left = total_rows;
-        let mut buf: Vec<Value> = Vec::new();
-        for (id, rows) in plan.shards.iter().enumerate() {
-            let budget = slice_budget(&config.budget, rows.len(), rows_left, 1, mem_slice);
-            rows_left -= rows.len() as u64;
-            let mut pieces = Vec::with_capacity(ranges[id].len());
-            for &(lo, hi) in &ranges[id] {
-                let sub = ds
-                    .select_rows_into(&rows[lo..hi], std::mem::take(&mut buf))
-                    .expect("shard plan only holds in-range row indices");
-                pieces.push(solve_shard(id, &sub, k, config, budget.clone())?);
-                buf = sub.into_flat_buffer();
+        // Units of a shard land in any order; a shard completes, and ticks
+        // progress, when its last unit arrives. Returning early drops the
+        // receiver, so workers stop after their in-flight unit.
+        let mut pending: Vec<Vec<(usize, Solved)>> =
+            (0..plan.shards.len()).map(|_| Vec::new()).collect();
+        let mut done = 0;
+        for (i, out) in done_rx {
+            let Unit { shard, ref rows } = todo[i];
+            let pieces = &mut pending[shard];
+            pieces.push((rows.start, out?));
+            if pieces.len() < units_per_shard[shard] {
+                continue;
             }
-            let s = combine_solved(id, pieces)?;
+            pieces.sort_unstable_by_key(|&(start, _)| start);
+            let s = combine_solved(shard, pieces.drain(..).map(|(_, s)| s).collect())?;
+            done += 1;
             on_progress(Progress::UnitSolved {
-                done: id + 1,
+                done,
                 units,
                 degraded: s.report.degraded,
             });
-            solved[id] = Some(s);
+            solved[shard] = Some(s);
         }
-    } else {
-        // Budget slices are fixed in shard-id order before any worker
-        // starts: `rows_left` must shrink deterministically, so the pool's
-        // schedule cannot influence any shard's allowance.
-        let mut shard_budgets = Vec::with_capacity(plan.shards.len());
-        {
-            let mut rows_left = total_rows;
-            for rows in &plan.shards {
-                shard_budgets.push(slice_budget(
-                    &config.budget,
-                    rows.len(),
-                    rows_left,
-                    workers,
-                    mem_slice,
-                ));
-                rows_left -= rows.len() as u64;
-            }
-        }
-        let pool = Pool {
-            ranges: &ranges,
-            injector: Mutex::new((0..plan.shards.len()).collect()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            remaining: AtomicUsize::new(total_units),
-            idle_gate: Mutex::new(()),
-            idle: Condvar::new(),
-        };
-        let shards = &plan.shards;
-        let shard_budgets = &shard_budgets;
-        let solved_ref = &mut solved;
-        std::thread::scope(|scope| -> Result<()> {
-            let (done_tx, done_rx) = mpsc::channel::<(usize, usize, Result<Solved>)>();
-            for w in 0..workers {
-                let pool = &pool;
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    let mut buf: Vec<Value> = Vec::new();
-                    loop {
-                        let Some(unit) = pool.find_work(w) else {
-                            if pool.remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            // Outstanding units are mid-solve elsewhere;
-                            // park briefly, then rescan (an expansion may
-                            // have made units stealable).
-                            let gate = pool.idle_gate.lock().expect("idle gate");
-                            let _ = pool
-                                .idle
-                                .wait_timeout(gate, Duration::from_millis(1))
-                                .expect("idle wait");
-                            continue;
-                        };
-                        let rows = &shards[unit.shard][unit.lo..unit.hi];
-                        let sub = ds
-                            .select_rows_into(rows, std::mem::take(&mut buf))
-                            .expect("shard plan only holds in-range row indices");
-                        let out = solve_shard(
-                            unit.shard,
-                            &sub,
-                            k,
-                            config,
-                            shard_budgets[unit.shard].clone(),
-                        );
-                        buf = sub.into_flat_buffer();
-                        let last = pool.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-                        if done_tx.send((unit.shard, unit.unit, out)).is_err() {
-                            break;
-                        }
-                        if last {
-                            pool.idle.notify_all();
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-
-            // Collect on the caller's thread: units of a shard can land in
-            // any order and interleaved across shards; a shard completes —
-            // and ticks progress — when its last unit arrives.
-            let mut pending: Vec<Vec<Option<Solved>>> = ranges
-                .iter()
-                .map(|r| (0..r.len()).map(|_| None).collect())
-                .collect();
-            let mut left: Vec<usize> = ranges.iter().map(Vec::len).collect();
-            let mut first_err: Option<Error> = None;
-            let mut done = 0usize;
-            for (shard, unit, out) in done_rx {
-                match out {
-                    Ok(s) => {
-                        pending[shard][unit] = Some(s);
-                        left[shard] -= 1;
-                        if left[shard] > 0 || first_err.is_some() {
-                            continue;
-                        }
-                        let pieces: Vec<Solved> = pending[shard]
-                            .iter_mut()
-                            .map(|p| p.take().expect("all units of this shard arrived"))
-                            .collect();
-                        match combine_solved(shard, pieces) {
-                            Ok(s) => {
-                                done += 1;
-                                on_progress(Progress::UnitSolved {
-                                    done,
-                                    units,
-                                    degraded: s.report.degraded,
-                                });
-                                solved_ref[shard] = Some(s);
-                            }
-                            Err(e) => {
-                                config.budget.cancel();
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                    Err(e) if first_err.is_none() => {
-                        // Abort in-flight solvers; keep draining so every
-                        // worker can exit and the scope can join (cancelled
-                        // units fall back cheaply).
-                        config.budget.cancel();
-                        first_err = Some(e);
-                    }
-                    Err(_) => {}
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-    }
+        Ok(())
+    })?;
 
     // The residue is solved alone, after the shards, with everything that
     // remains of the budget (full memory cap — no concurrent peers).
     let residue_solved = if plan.residue.is_empty() {
         None
     } else {
-        let sub = select(ds, &plan.residue);
+        let sub = ds
+            .select_rows_into(&plan.residue, Vec::new())
+            .expect("shard plan only holds in-range row indices");
         let target = residue_chunk_target(ds.n_rows(), plan.n_buckets, k, config.shard_size);
         let s = solve_residue(plan.shards.len(), &sub, k, target, config, &config.budget)?;
         on_progress(Progress::UnitSolved {
@@ -783,28 +606,24 @@ mod tests {
 
     #[test]
     fn unit_ranges_mirror_near_equal_chunking() {
+        let ranges = |len, split, k| unit_ranges(len, split, k).collect::<Vec<_>>();
         // No split → one unit regardless of size.
-        assert_eq!(unit_ranges(1000, None, 3), vec![(0, 1000)]);
+        assert_eq!(ranges(1000, None, 3), vec![0..1000]);
         // At or under the target → one unit.
-        assert_eq!(unit_ranges(12, Some(12), 3), vec![(0, 12)]);
+        assert_eq!(ranges(12, Some(12), 3), vec![0..12]);
+        // A split below the 2k-1 floor is raised to it.
+        assert_eq!(ranges(9, Some(2), 5), vec![0..9]);
         // Over the target → consecutive near-equal pieces covering the
         // shard, each at least k rows.
         for (len, split, k) in [(100, 30, 3), (100, 5, 3), (37, 12, 5), (6, 5, 2)] {
-            let ranges = unit_ranges(len, Some(split), k);
-            assert!(ranges.len() > 1, "{len}/{split} should split");
-            let mut at = 0;
-            for &(lo, hi) in &ranges {
-                assert_eq!(lo, at);
-                assert!(hi - lo >= k, "piece {lo}..{hi} below k={k}");
-                at = hi;
-            }
-            assert_eq!(at, len);
-            // Exactly chunk_near_equal's arithmetic on the same inputs.
-            let rows: Vec<u32> = (0..len as u32).collect();
-            let chunks = chunk_near_equal(&rows, split.max(2 * k - 1));
-            assert_eq!(ranges.len(), chunks.len());
-            for (r, c) in ranges.iter().zip(&chunks) {
-                assert_eq!(r.1 - r.0, c.len());
+            let pieces = ranges(len, Some(split), k);
+            assert!(pieces.len() > 1, "{len}/{split} should split");
+            assert_eq!(
+                pieces,
+                near_equal_ranges(len, split.max(2 * k - 1)).collect::<Vec<_>>()
+            );
+            for p in &pieces {
+                assert!(p.len() >= k, "piece {p:?} below k={k}");
             }
         }
     }
@@ -812,8 +631,8 @@ mod tests {
     #[test]
     fn split_units_do_not_change_the_answer_across_worker_counts() {
         let ds = dataset(100);
-        // One big bucket → one 100-row shard → four ~25-row units, so the
-        // pool genuinely exercises injector expansion and stealing.
+        // One big bucket → one 100-row shard → four 25-row units, so
+        // every worker count reassembles one shard from several units.
         let mut outputs = Vec::new();
         for workers in [1, 2, 4] {
             let config = PipelineConfig {
@@ -909,7 +728,7 @@ mod tests {
                 split_unit: split,
                 ..PipelineConfig::default()
             };
-            let events = Mutex::new(Vec::new());
+            let events = std::sync::Mutex::new(Vec::new());
             let (_, report) =
                 run_pipeline_with_progress(&ds, 3, &config, &|p| events.lock().unwrap().push(p))
                     .unwrap();

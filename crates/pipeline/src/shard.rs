@@ -9,6 +9,8 @@
 //! fewer than `k` rows — undersized buckets go to the **residue**, which
 //! the merge stage solves as one extra group.
 
+use std::ops::Range;
+
 use kanon_core::Dataset;
 
 use crate::config::{PipelineConfig, ShardStrategy};
@@ -61,23 +63,31 @@ pub(crate) fn fnv1a_row(row: &[u32]) -> u64 {
     h
 }
 
-/// Splits `rows` into `ceil(len / target)` near-equal consecutive pieces.
+/// The `ceil(len / target)` near-equal consecutive ranges that split
+/// `0..len`, the first `len % q` of them one row longer.
 ///
-/// With `target >= 2k - 1` and `len >= k`, every piece has at least `k`
-/// rows: for `q >= 2` pieces, `len >= (q-1)*target + 1` gives
-/// `floor(len/q) >= (2k-1) - (2k-2)/q >= k`.
-pub(crate) fn chunk_near_equal(rows: &[u32], target: usize) -> Vec<Vec<u32>> {
-    let q = rows.len().div_ceil(target).max(1);
-    let base = rows.len() / q;
-    let extra = rows.len() % q; // first `extra` pieces get one more row
-    let mut out = Vec::with_capacity(q);
-    let mut at = 0;
-    for i in 0..q {
-        let size = base + usize::from(i < extra);
-        out.push(rows[at..at + size].to_vec());
-        at += size;
-    }
-    out
+/// With `target >= 2k - 1` and `len >= k`, every range has at least `k`
+/// rows: for `q >= 2` ranges, `len >= (q-1)*target + 1` gives
+/// `floor(len/q) >= (2k-1) - (2k-2)/q >= k`. Shards, split units, residue
+/// chunks and the delta engine's bucket chunks are all cut by this one
+/// function, which is what keeps their layouts identical.
+pub(crate) fn near_equal_ranges(len: usize, target: usize) -> impl Iterator<Item = Range<usize>> {
+    let q = len.div_ceil(target).max(1);
+    let (base, extra) = (len / q, len % q);
+    (0..q).map(move |i| {
+        let lo = i * base + i.min(extra);
+        lo..lo + base + usize::from(i < extra)
+    })
+}
+
+/// The chunk a sub-`k` residue folds into, given every chunk's length in
+/// global order: the smallest, lowest index on ties. `None` when there are
+/// no chunks.
+pub(crate) fn residue_fold_index(lens: impl IntoIterator<Item = usize>) -> Option<usize> {
+    lens.into_iter()
+        .enumerate()
+        .min_by_key(|&(i, len)| (len, i))
+        .map(|(i, _)| i)
 }
 
 /// Plans a deterministic sharding of `ds` for anonymity parameter `k`.
@@ -127,7 +137,7 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
         if bucket.len() < k {
             residue.extend(bucket);
         } else {
-            shards.extend(chunk_near_equal(&bucket, target));
+            shards.extend(near_equal_ranges(bucket.len(), target).map(|r| bucket[r].to_vec()));
         }
     }
 
@@ -136,15 +146,9 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
     // the solver (at most target + k - 1 rows). With no shards at all, the
     // residue is the entire table (n >= k by check_k) and stands alone.
     if !residue.is_empty() && residue.len() < k {
-        match shards
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, s)| (s.len(), i))
-            .map(|(i, _)| i)
-        {
-            Some(smallest) => shards[smallest].append(&mut residue),
-            None => unreachable!("no shards means the residue holds all n >= k rows"),
-        }
+        let smallest = residue_fold_index(shards.iter().map(Vec::len))
+            .expect("no shards means the residue holds all n >= k rows");
+        shards[smallest].append(&mut residue);
     }
     residue.sort_unstable();
 
@@ -352,17 +356,18 @@ mod tests {
         for k in 1..=6usize {
             let target = 2 * k - 1;
             for len in k..200 {
-                let rows: Vec<u32> = (0..len as u32).collect();
                 for t in [target, target + 1, target + 3, 64] {
                     if t < target {
                         continue;
                     }
-                    let pieces = chunk_near_equal(&rows, t);
-                    assert_eq!(pieces.iter().map(Vec::len).sum::<usize>(), len);
-                    for p in &pieces {
+                    let mut at = 0;
+                    for p in near_equal_ranges(len, t) {
+                        assert_eq!(p.start, at, "ranges are consecutive");
+                        at = p.end;
                         assert!(p.len() >= k, "k={k} t={t} len={len} piece={}", p.len());
                         assert!(p.len() <= t, "k={k} t={t} len={len} piece={}", p.len());
                     }
+                    assert_eq!(at, len, "ranges cover 0..len");
                 }
             }
         }

@@ -18,7 +18,9 @@
 //! bottom: an instance whose full §4.2 greedy cover cannot finish inside a
 //! 200 ms deadline must still answer — via a lower rung — within twice the
 //! deadline, while the same instance under an unlimited budget reproduces
-//! the ungoverned cover exactly.
+//! the ungoverned cover exactly. Beside it, the sharded pipeline must not
+//! degrade anything under a deadline far above its unlimited wall time,
+//! whatever its worker count.
 
 use std::time::{Duration, Instant};
 
@@ -28,8 +30,8 @@ use kanon_baselines::{
 };
 use kanon_core::distcache::PairwiseDistances;
 use kanon_core::exact::{
-    try_branch_and_bound_governed, try_min_diameter_sum_governed, try_pattern_bb_governed,
-    try_subset_dp_governed, BranchBoundConfig, PatternConfig, SubsetDpConfig,
+    try_branch_and_bound_governed, try_fpt_governed, try_min_diameter_sum_governed,
+    try_subset_dp_governed, BranchBoundConfig, FptConfig, SubsetDpConfig,
 };
 use kanon_core::govern::{Budget, Resource};
 use kanon_core::greedy::{
@@ -116,8 +118,8 @@ fn pre_cancelled_budget_trips_every_governed_entry_point() {
         try_branch_and_bound_governed(&ds, k, &BranchBoundConfig::default(), &budget).unwrap_err(),
     );
     assert_cancelled(
-        "pattern bb",
-        try_pattern_bb_governed(&ds, k, &PatternConfig::default(), &budget).unwrap_err(),
+        "fpt",
+        try_fpt_governed(&ds, k, &FptConfig::default(), &budget).unwrap_err(),
     );
     assert_cancelled(
         "subset dp",
@@ -352,4 +354,53 @@ fn acceptance_deadline_degrades_within_twice_the_deadline() {
     // The report names a real rung with its paper guarantee.
     assert!(!report.guarantee.is_empty());
     assert!(Rung::ALL.contains(&report.rung));
+}
+
+/// A deadline 400× the unlimited wall time must leave the pipeline's
+/// release untouched at every worker count. Each unit's deadline slice is
+/// cut when a worker claims it; a slice cut when the run starts has
+/// already expired for units claimed late. 300k census rows at shard size
+/// 64 give several thousand small shards, so most units are claimed late.
+/// The wide margin absorbs scheduler stalls of a few tens of milliseconds
+/// when 4 workers share fewer cores. Timing-sensitive, so release builds
+/// only.
+#[cfg(not(debug_assertions))]
+#[test]
+fn generous_pipeline_deadline_degrades_no_shard_at_any_worker_count() {
+    use kanon_pipeline::{run_pipeline, PipelineConfig};
+    use kanon_workloads::{census_table, CensusParams};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(7);
+    let (ds, _) = census_table(
+        &mut rng,
+        &CensusParams {
+            n: 300_000,
+            regions: 8,
+        },
+    )
+    .encode();
+    let k = 5;
+    for workers in [2, 4] {
+        let config = |budget| PipelineConfig {
+            shard_size: 64,
+            workers: Some(workers),
+            budget,
+            ..PipelineConfig::default()
+        };
+        let started = Instant::now();
+        let (unlimited, _) = run_pipeline(&ds, k, &config(Budget::unlimited())).unwrap();
+        let deadline = started.elapsed() * 400;
+        let budget = Budget::builder().deadline(deadline).build();
+        let (anon, report) = run_pipeline(&ds, k, &config(budget)).unwrap();
+        assert_eq!(
+            report.degraded_shards(),
+            0,
+            "{workers} workers degraded shards under a {deadline:.2?} deadline"
+        );
+        assert_eq!(
+            anon.partition, unlimited.partition,
+            "{workers} workers changed the release under a {deadline:.2?} deadline"
+        );
+    }
 }
