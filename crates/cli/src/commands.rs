@@ -751,7 +751,8 @@ fn render_pipeline_run(
     ];
     if let Some(p) = &run.report.privacy {
         notes.push(format!(
-            "privacy: {} on `{}` {} ({} violating block(s) before, {} merge(s), cost {} -> {})",
+            "privacy: {} on `{}` {} ({} violating block(s) before, {} merge(s), cost {} -> {}, \
+             repair {:.2?})",
             p.spec,
             p.sensitive,
             if p.verified {
@@ -763,6 +764,7 @@ fn render_pipeline_run(
             p.merges,
             p.cost_before,
             p.cost_after,
+            p.repair,
         ));
     }
 

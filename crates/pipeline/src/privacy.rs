@@ -15,6 +15,7 @@
 //! re-check's outcome rather than taking the repair on faith.
 
 use std::io;
+use std::time::Instant;
 
 use kanon_core::algo::anonymization_from_partition;
 use kanon_core::{Algorithm, Value};
@@ -124,6 +125,7 @@ pub fn run_csv_private_with_progress<R: io::Read>(
 
     if let (Some(col), true) = (sens_col, model.requires_sensitive()) {
         let sens_values: Vec<Value> = (0..dataset.n_rows()).map(|i| dataset.row(i)[col]).collect();
+        let t_repair = Instant::now();
         let outcome = enforce(&qi, &anonymization.partition, &sens_values, model)?;
         if outcome.merges > 0 {
             // Merged blocks may exceed the (k, 2k-1) band — splitting them
@@ -136,6 +138,7 @@ pub fn run_csv_private_with_progress<R: io::Read>(
                 Algorithm::External("pipeline+privacy"),
             )?;
         }
+        let repair = t_repair.elapsed();
         let recheck = verify(model, &anonymization.partition, &sens_values)?;
         let verified = recheck.ok() && anonymization.table.is_k_anonymous(k);
         report.total_cost = anonymization.cost;
@@ -150,6 +153,7 @@ pub fn run_csv_private_with_progress<R: io::Read>(
             cost_before: outcome.cost_before,
             cost_after: anonymization.cost,
             verified,
+            repair,
         }));
     }
 

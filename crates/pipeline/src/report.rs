@@ -98,6 +98,10 @@ pub struct PrivacyReport {
     /// of both the constraint and k-anonymity. Always `true` on success;
     /// recorded so downstream consumers never have to take it on faith.
     pub verified: bool,
+    /// Wall-clock time of the repair and of rebuilding the anonymization
+    /// from the repaired partition (`repair_ms` in the JSON). It comes
+    /// after the pipeline, so [`PipelineReport::elapsed`] leaves it out.
+    pub repair: Duration,
 }
 
 /// Summary of a completed [`crate::run_pipeline`] call.
@@ -262,6 +266,7 @@ impl PipelineReport {
             push_kv(&mut pv, "cost_before", &p.cost_before.to_string());
             push_kv(&mut pv, "cost_after", &p.cost_after.to_string());
             push_kv(&mut pv, "verified", &p.verified.to_string());
+            push_kv(&mut pv, "repair_ms", &p.repair.as_millis().to_string());
             pv.pop();
             pv.push('}');
             push_kv(&mut out, "privacy", &pv);
@@ -431,6 +436,7 @@ mod tests {
             cost_before: 25,
             cost_after: 31,
             verified: true,
+            repair: Duration::from_millis(42),
         }));
         let json = r.to_json();
         assert!(json.contains("\"privacy\":{\"spec\":\"l=2\""));
@@ -440,7 +446,7 @@ mod tests {
         assert!(json.contains("\"merges\":2"));
         assert!(json.contains("\"cost_before\":25"));
         assert!(json.contains("\"cost_after\":31"));
-        assert!(json.contains("\"verified\":true"));
+        assert!(json.contains("\"verified\":true,\"repair_ms\":42},"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

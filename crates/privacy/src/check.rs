@@ -102,14 +102,18 @@ fn block_counts(sensitive: &[u32], block: &[u32]) -> HashMap<u32, usize> {
 /// Shannon entropy (nats) of a count map.
 #[must_use]
 pub fn entropy_of_counts(counts: &HashMap<u32, usize>) -> f64 {
-    let total: usize = counts.values().sum();
+    entropy(counts.values().sum(), counts.values().copied())
+}
+
+/// Shannon entropy (nats) of `counts`, which sum to `total` (shared by
+/// the checker and the repair loop's count lists).
+pub(crate) fn entropy(total: usize, counts: impl Iterator<Item = usize>) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let total = total as f64;
     counts
-        .values()
-        .map(|&c| {
+        .map(|c| {
             let p = c as f64 / total;
             -p * p.ln()
         })
@@ -133,7 +137,7 @@ fn global_distribution(sensitive: &[u32]) -> (Vec<u32>, Vec<f64>) {
 
 /// Distance between a block's distribution and the global one, per metric.
 /// Both distributions are expressed over the same `domain` order.
-fn distribution_distance(
+pub(crate) fn distribution_distance(
     domain_len: usize,
     block_probs: &[f64],
     global_probs: &[f64],
